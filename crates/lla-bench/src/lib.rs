@@ -325,7 +325,8 @@ pub fn naive_round(
 }
 
 /// One scaling point of the optimizer benchmark: per-iteration wall-clock
-/// cost of the naive round vs the compiled-plan [`Optimizer::step`].
+/// cost of the naive round vs the compiled-plan
+/// [`Optimizer::step`](lla_core::ShardedOptimizer::step).
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizerBenchPoint {
     /// Number of tasks in the workload.
@@ -559,7 +560,8 @@ pub struct ShardedBenchPoint {
     pub shards: usize,
     /// Resources shared between shards (coordinator-priced).
     pub shared_resources: usize,
-    /// Mean nanoseconds per monolithic [`Optimizer::step`] on the same
+    /// Mean nanoseconds per monolithic
+    /// [`Optimizer::step`](lla_core::ShardedOptimizer::step) on the same
     /// problem.
     pub monolithic_ns_per_iter: f64,
     /// Mean wall-clock nanoseconds per sharded round, executed
@@ -650,8 +652,11 @@ pub fn bench_sharded_sweep(sweep: &ShardedSweepConfig) -> Vec<ShardedBenchPoint>
     let shard_counts = &sweep.shard_counts;
     let (problem, _) = clustered_workload(num_tasks, num_clusters, seed).expect("valid geometry");
     let subtasks = problem.tasks().iter().map(|t| t.len()).sum();
+    // Every arm runs the same config; with a trace the monolithic arm
+    // alone would pay a record per round.
     let config = OptimizerConfig {
         step_policy: StepSizePolicy::sign_adaptive(1.0),
+        record_trace: false,
         ..OptimizerConfig::default()
     };
     let reps = reps.max(1);

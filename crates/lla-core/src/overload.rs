@@ -151,13 +151,13 @@ pub fn select_victim(problem: &Problem, lats: &[Vec<f64>]) -> Option<TaskId> {
 
 /// One governed iteration: step the optimizer, let the monitor watch, and
 /// shed the lowest-value elastic task when overload is sustained. An
-/// eviction also resets the dual state ([`Optimizer::reset_prices`]) —
+/// eviction also resets the dual state ([`ShardedOptimizer::reset_prices`](crate::ShardedOptimizer::reset_prices)) —
 /// prices that integrated a sustained-infeasible gradient are arbitrarily
 /// inflated and would stall the survivors' re-convergence.
 ///
 /// Returns the iteration report and, if shedding happened, the evicted
 /// task's id *as it was before removal* (survivor ids shift down per
-/// [`Optimizer::remove_task`]'s report).
+/// [`ShardedOptimizer::remove_task`](crate::ShardedOptimizer::remove_task)'s report).
 pub fn governed_step(
     opt: &mut Optimizer,
     monitor: &mut OverloadMonitor,

@@ -1,6 +1,7 @@
 //! Compiled structure-of-arrays iteration plan for the LLA hot path.
 //!
-//! [`Optimizer::step`](crate::optimizer::Optimizer::step) conceptually walks
+//! The naive LLA round ([`allocate_latencies`](crate::allocate_latencies) +
+//! [`PriceState::update`]) walks
 //! `tasks → graphs → paths → subtasks` through nested heap structures every
 //! iteration, re-deriving clamping boxes and memberships and allocating
 //! fresh latency matrices each round. The per-round *math* is tiny — a few
@@ -145,7 +146,7 @@ fn allocate_kernel(
 ///
 /// Sized by [`Plan::scratch`]; owning one per optimizer (or per thread)
 /// makes every per-iteration primitive allocation-free.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
     pub(crate) prev: Vec<f64>,
     pub(crate) lats: Vec<f64>,
@@ -222,8 +223,9 @@ impl PlanScratch {
 }
 
 /// A compiled, structure-of-arrays lowering of one [`Problem`] at one
-/// mutation epoch (see the [module docs](self)).
-#[derive(Debug, Clone)]
+/// mutation epoch (see the [module docs](self)). The default plan has
+/// no tasks and no resources.
+#[derive(Debug, Clone, Default)]
 pub struct Plan {
     epoch: u64,
     settings: AllocationSettings,

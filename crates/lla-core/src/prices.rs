@@ -259,6 +259,11 @@ impl PriceState {
         &self.lambda[t]
     }
 
+    /// Number of λ rows (one per task).
+    pub(crate) fn lambda_rows(&self) -> usize {
+        self.lambda.len()
+    }
+
     /// Overwrites the resource price (used by the distributed runtime when
     /// a price message arrives).
     ///

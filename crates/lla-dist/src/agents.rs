@@ -76,7 +76,7 @@ impl Default for RobustnessConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerCheckpoint {
     /// Prices + latencies + iteration, as
-    /// [`Optimizer::export_state`](lla_core::Optimizer::export_state)
+    /// [`Optimizer::export_state`](lla_core::ShardedOptimizer::export_state)
     /// would capture them.
     pub state: OptimizerState,
     /// Last received congestion bit per resource.

@@ -250,8 +250,8 @@ mod tests {
                 coordinated += 1;
             }
         }
-        // Only the backbone (and any unused cluster resources) goes to the
-        // coordinator; with 10% cross-traffic that is a thin slice.
+        // Only the shared backbone goes to the coordinator; with 10%
+        // cross-traffic that is a thin slice.
         assert!(coordinated < nr / 4, "{coordinated}/{nr} coordinator-owned");
         assert!(sharded.num_shared_resources() <= 8, "at most the backbone is shared");
     }

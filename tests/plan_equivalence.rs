@@ -4,12 +4,22 @@
 //! matching to 1e-12 on randomly generated problems — and the opt-in
 //! parallel allocation kernel must be *bit-identical* to the sequential
 //! one across long seeded runs, including a membership epoch mid-run.
+//! The optimizer itself is pinned bitwise against the naive nested round
+//! through online changes, and two traffic traps of the one-engine design
+//! are pinned: a sharded run keeps no trace, and a window of closed-loop
+//! corrections re-lowers the plan once.
 
 use lla_core::{
-    allocate_latencies, kkt_report, lagrangian_value, AllocationSettings, Plan, PriceState,
-    Problem, ResourceId, StepSizePolicy, TaskBuilder, TaskId,
+    allocate_latencies, kkt_report, lagrangian_value, AllocationSettings, Optimizer,
+    OptimizerConfig, Plan, PriceState, Problem, ResourceId, ShardedOptimizer, StepSizePolicy,
+    TaskBuilder, TaskId, UtilityFn,
 };
-use lla_workloads::{large_scale_workload, RandomWorkloadConfig, TaskShape};
+use lla_sim::{ClosedLoop, ClosedLoopConfig, SimConfig};
+use lla_telemetry::MetricsRegistry;
+use lla_workloads::{
+    clustered_workload, large_scale_workload, prototype_workload, scaled_workload, PrototypeParams,
+    RandomWorkloadConfig, TaskShape,
+};
 
 fn close(a: f64, b: f64, what: &str) {
     assert!((a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0), "{what}: {a} vs {b}");
@@ -195,4 +205,87 @@ fn parallel_allocation_is_bit_identical_to_sequential() {
         let l: Vec<f64> = par.lats().to_vec();
         par.prev_mut().copy_from_slice(&l);
     }
+}
+
+/// `Optimizer::step` against the naive nested reference round
+/// (`allocate_latencies` + `PriceState::update`) on Figure 6 ×1 for 300
+/// rounds, with a task join, an availability change and an error
+/// correction applied to both sides mid-run: every latency and the whole
+/// dual state must match bit for bit, every round.
+#[test]
+fn optimizer_matches_naive_round_through_online_changes() {
+    let config = OptimizerConfig {
+        step_policy: StepSizePolicy::sign_adaptive(1.0),
+        ..OptimizerConfig::default()
+    };
+    let mut problem = scaled_workload(1, true);
+    let mut opt = Optimizer::new(problem.clone(), config);
+    let mut prices = PriceState::new(&problem, config.step_policy);
+    let mut lats = problem.initial_allocation();
+    for round in 0..300 {
+        match round {
+            100 => {
+                let mut b = TaskBuilder::new("joiner");
+                let a = b.subtask("j0", ResourceId::new(0), 2.0);
+                let c = b.subtask("j1", ResourceId::new(1), 3.0);
+                b.edge(a, c).expect("valid edge");
+                b.critical_time(120.0).utility(UtilityFn::linear_for_deadline(2.0, 120.0));
+                let report = problem.add_task(&b).expect("admission");
+                let id = report.added_task.expect("new id");
+                prices = prices.remap(&problem, &report);
+                lats.push(problem.initial_task_allocation(id));
+                assert_eq!(opt.add_task(&b), Ok(id));
+            }
+            150 => {
+                problem.set_resource_availability(ResourceId::new(0), 0.8).expect("valid");
+                opt.set_resource_availability(ResourceId::new(0), 0.8).expect("valid");
+            }
+            200 => {
+                let sid = problem.tasks()[1].subtask_id(0);
+                problem.set_correction(sid, 0.5);
+                opt.set_correction(sid, 0.5);
+            }
+            _ => {}
+        }
+        lats = allocate_latencies(&problem, &prices, &config.allocation, &lats);
+        prices.update(&problem, &lats);
+        opt.step();
+        assert_eq!(opt.allocation().lats(), &lats[..], "latencies diverged at round {round}");
+        assert_eq!(opt.prices(), &prices, "duals diverged at round {round}");
+    }
+}
+
+/// The default config records a trace, and only a one-shard optimizer
+/// honours it: a sharded engine would otherwise append a record per
+/// round for as long as it runs.
+#[test]
+fn sharded_optimizer_keeps_no_trace_under_the_default_config() {
+    let (problem, spec) = clustered_workload(200, 4, 7).expect("valid geometry");
+    let mut opt = ShardedOptimizer::new(problem, OptimizerConfig::default(), spec).expect("spec");
+    assert!(OptimizerConfig::default().record_trace);
+    opt.run(200);
+    assert_eq!(opt.trace().len(), 0);
+}
+
+/// A closed-loop window applies one correction per measured subtask;
+/// the plan must re-lower once for the whole batch, not once per call.
+#[test]
+fn closed_loop_window_relowers_the_plan_once() {
+    let config = OptimizerConfig {
+        step_policy: StepSizePolicy::sign_adaptive(1.0),
+        ..OptimizerConfig::default()
+    };
+    let mut cl = ClosedLoop::new(
+        prototype_workload(&PrototypeParams::default()),
+        config,
+        SimConfig::default(),
+        ClosedLoopConfig { correction_enabled: true, ..Default::default() },
+    );
+    let registry = MetricsRegistry::new();
+    cl.attach_telemetry(&registry);
+    let lowerings = registry.counter("lla_opt_plan_lowerings_total", "");
+    let before = lowerings.get();
+    let window = cl.step_window();
+    assert!(window.corrections.iter().flatten().any(|&e| e != 0.0), "window corrected");
+    assert_eq!(lowerings.get() - before, 1);
 }

@@ -96,9 +96,9 @@ fn fig6_profile_attributes_step_time_to_phases() {
     }
 }
 
-/// Under the `parallel` feature the sharded allocation phase runs in
-/// rayon workers; `scope_in` re-anchors those threads so per-shard work
-/// lands under the coordinator round in the one shared tree. (Without
+/// Under the `parallel` feature the per-shard phases run in rayon
+/// workers; `scope_in` re-anchors those threads so per-shard work lands
+/// under the round's phase scopes in the one shared tree. (Without
 /// the feature the same scopes run sequentially — the assertions hold
 /// either way, which is the point: one tree, same shape.)
 #[test]
@@ -126,20 +126,19 @@ fn sharded_round_profile_accumulates_across_threads() {
             .unwrap_or_else(|| panic!("missing frame {path}:\n{}", snapshot.folded_calls()))
             .calls
     };
-    assert_eq!(calls("round"), ROUNDS);
-    assert_eq!(calls("round;allocation_phase"), ROUNDS);
-    assert_eq!(
-        calls("round;allocation_phase;shard_local"),
-        ROUNDS * shards as u64,
-        "every shard's local step must land in the shared tree"
-    );
-    assert_eq!(calls("round;coordinator"), ROUNDS);
-    // Broadcast runs once per coordinated resource per round.
-    let broadcast = calls("round;coordinator;broadcast");
-    assert!(
-        broadcast >= ROUNDS && broadcast % ROUNDS == 0,
-        "broadcast fires a fixed number of times per round, got {broadcast} over {ROUNDS} rounds"
-    );
+    let per_shard = ROUNDS * shards as u64;
+    for phase in ["step", "step;allocate", "step;price", "step;lagrangian", "step;trace"] {
+        assert_eq!(calls(phase), ROUNDS, "{phase} runs once per round");
+    }
+    assert_eq!(calls("plan_lower"), shards as u64, "each shard lowers once");
+    for (path, what) in [
+        ("step;allocate;shard", "allocation"),
+        ("step;price;shard_resources", "resource steps"),
+        ("step;price;shard_paths", "path steps"),
+    ] {
+        assert_eq!(calls(path), per_shard, "every shard's {what} must land in the shared tree");
+    }
+    assert_eq!(calls("step;price;coordinator"), ROUNDS);
 }
 
 /// Profile frames ride along in the Chrome trace export as their own
