@@ -279,6 +279,31 @@ impl Problem {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
+    /// The worst constraint-violation *factor* of the allocation: `max`
+    /// over resources of `usage_r/B_r` and over tasks of
+    /// `critical_path/C_i` (the deadline constraint is per *path*, so the
+    /// longest path is the binding one). ≤ 1 means every constraint
+    /// holds. A zero-availability resource reports `∞` if it carries
+    /// usage and nothing if it is idle.
+    pub fn worst_violation_factor(&self, lats: &[Vec<f64>]) -> f64 {
+        let mut worst = 0.0f64;
+        for r in &self.resources {
+            let usage = self.resource_usage(r.id(), lats);
+            worst = worst.max(if r.availability() > 0.0 {
+                usage / r.availability()
+            } else if usage > 0.0 {
+                f64::INFINITY
+            } else {
+                0.0
+            });
+        }
+        for t in &self.tasks {
+            let (_, cp) = t.graph().critical_path(&lats[t.id().index()]);
+            worst = worst.max(cp / t.critical_time());
+        }
+        worst
+    }
+
     /// The largest path-constraint violation as a fraction:
     /// `max_p (path_latency / C_i − 1)` — positive means at least one path
     /// misses its critical time.

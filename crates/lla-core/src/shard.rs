@@ -833,7 +833,7 @@ impl ShardedOptimizer {
             max_resource_violation: kkt.max_resource_violation,
             max_path_violation: kkt.max_path_violation,
             max_complementary_slackness: kkt.max_complementary_slackness,
-            worst_violation_factor: self.violation_factor(&lats),
+            worst_violation_factor: self.problem.worst_violation_factor(&lats),
             resources,
             shed_count: 0,
             membership_changes: 0,
@@ -841,29 +841,10 @@ impl ShardedOptimizer {
         }
     }
 
-    /// The worst constraint-violation *factor* at the current point:
-    /// `max` over resources of `usage/B_r` and over tasks of
-    /// `critical_path/C_i` (the deadline constraint is per *path*, so the
-    /// longest path is the binding one). ≤ 1 means every constraint
-    /// holds; a zero-availability resource with nonzero usage reports
-    /// `∞`.
+    /// The worst constraint-violation factor at the current point (see
+    /// [`Problem::worst_violation_factor`]).
     pub fn worst_violation_factor(&self) -> f64 {
-        self.violation_factor(&self.nested_lats())
-    }
-
-    fn violation_factor(&self, lats: &[Vec<f64>]) -> f64 {
-        let mut worst = 0.0f64;
-        for res in self.problem.resources() {
-            let usage = self.problem.resource_usage(res.id(), lats);
-            let availability = res.availability();
-            worst =
-                worst.max(if availability > 0.0 { usage / availability } else { f64::INFINITY });
-        }
-        for task in self.problem.tasks() {
-            let (_, cp) = task.graph().critical_path(&lats[task.id().index()]);
-            worst = worst.max(cp / task.critical_time());
-        }
-        worst
+        self.problem.worst_violation_factor(&self.nested_lats())
     }
 
     /// One [`DiagSample`] for the convergence-diagnostics engine

@@ -41,9 +41,9 @@
 //! * [`system`] — [`DistributedLla`]: a full deployment on the virtual
 //!   runtime. With a perfect network and round-based ticking it is
 //!   **bit-equivalent** to the centralized [`lla_core::Optimizer`] (tested);
-//!   with delay/jitter/loss it exercises LLA's tolerance to stale prices.
-//! * [`threaded`] — [`ThreadedLla`]: the same agents on real OS threads
-//!   with channel messaging, in barriered-round or free-running mode.
+//!   with delay/jitter/loss it exercises LLA's tolerance to stale prices,
+//!   and with tick jitter it emulates fully asynchronous agents,
+//!   deterministically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +58,6 @@ pub mod runtime;
 pub mod supervisor;
 pub mod system;
 pub mod telemetry;
-pub mod threaded;
 
 pub use agents::{
     CheckpointStore, ControlPlaneAgent, ControllerCheckpoint, MembershipCause, RobustnessConfig,
@@ -75,4 +74,3 @@ pub use supervisor::{
 };
 pub use system::{DistConfig, DistributedLla};
 pub use telemetry::DistTelemetry;
-pub use threaded::{ShutdownError, ThreadedLla};

@@ -710,12 +710,6 @@ impl VirtualRuntime {
         self.now = t_end;
     }
 
-    /// Mutable access to a registered actor (for telemetry extraction in
-    /// tests and drivers).
-    pub fn actor_mut(&mut self, addr: Address) -> Option<&mut Box<dyn Actor>> {
-        self.actors.get_mut(&addr)
-    }
-
     /// Downcast access to the concrete actor registered at `addr`.
     pub fn actor_as<T: 'static>(&mut self, addr: Address) -> Option<&mut T> {
         self.actors.get_mut(&addr).and_then(|a| a.as_any().downcast_mut::<T>())

@@ -145,17 +145,14 @@ impl DistributedLla {
     /// bit-identical to an un-instrumented one.
     pub fn with_telemetry(problem: Problem, config: DistConfig, tel: DistTelemetry) -> Self {
         let problem = Arc::new(problem);
-        let telemetry: SharedLats = Arc::new(Mutex::new(problem.initial_allocation()));
-        let checkpoints = CheckpointStore::new();
+        let (n_tasks, n_resources) = (problem.tasks().len(), problem.resources().len());
         let topology = TopologyStore::new();
-        let task_slots: Vec<usize> = (0..problem.tasks().len()).collect();
-        let resource_slots: Vec<usize> = (0..problem.resources().len()).collect();
         topology.push(TopologyEpoch {
             epoch: 0,
             cause: MembershipCause::Genesis,
             problem: (*problem).clone(),
-            task_slots: task_slots.clone(),
-            resource_slots: resource_slots.clone(),
+            task_slots: (0..n_tasks).collect(),
+            resource_slots: (0..n_resources).collect(),
         });
         let mut runtime = VirtualRuntime::new(config.network, config.seed);
         runtime.attach_telemetry(tel.clone());
@@ -169,9 +166,28 @@ impl DistributedLla {
             );
         }
 
+        let mut dist = DistributedLla {
+            telemetry: Arc::new(Mutex::new(problem.initial_allocation())),
+            problem,
+            runtime,
+            checkpoints: CheckpointStore::new(),
+            topology,
+            epoch: 0,
+            task_slots: (0..n_tasks).collect(),
+            resource_slots: (0..n_resources).collect(),
+            next_task_slot: n_tasks,
+            next_resource_slot: n_resources,
+            config,
+            rounds: 0,
+            utilities: Vec::new(),
+            pending_availability: Vec::new(),
+            last_diag_prices: Vec::new(),
+            tel,
+        };
+
         use rand::{Rng, SeedableRng};
         let mut jitter_rng = rand::rngs::StdRng::seed_from_u64(config.seed.wrapping_add(0xa5));
-        let mut jittered = |base: f64| -> (f64, f64) {
+        let mut jittered = move |base: f64| -> (f64, f64) {
             if config.tick_jitter > 0.0 {
                 let j = config.tick_jitter * config.round_length;
                 (
@@ -182,62 +198,22 @@ impl DistributedLla {
                 (config.round_length, base)
             }
         };
-
-        let controller_phase = 0.25 * config.round_length;
-        let resource_phase = 0.75 * config.round_length;
-        for t in 0..problem.tasks().len() {
-            let (interval, phase) = jittered(controller_phase);
-            runtime.register(
-                Address::Controller(t),
-                Box::new(
-                    TaskController::new(
-                        t,
-                        (*problem).clone(),
-                        config.step_policy,
-                        config.allocation,
-                        Arc::clone(&telemetry),
-                    )
-                    .with_robustness(config.robustness)
-                    .with_checkpoints(checkpoints.clone())
-                    .with_membership(topology.clone(), t, 0)
-                    .with_telemetry(tel.clone())
-                    .with_fleet(AgentTelemetry::new(
-                        &tel,
-                        Address::Controller(t),
-                        config.report_cadence,
-                    )),
-                ),
-                interval,
-                phase,
-            );
+        for t in 0..n_tasks {
+            let (interval, phase) = jittered(0.25 * config.round_length);
+            dist.deploy_controller(t, t, interval, phase);
         }
-        for r in 0..problem.resources().len() {
-            let (interval, phase) = jittered(resource_phase);
-            runtime.register(
-                Address::Resource(r),
-                Box::new(
-                    ResourceAgent::new(r, (*problem).clone(), config.step_policy)
-                        .with_robustness(config.robustness)
-                        .with_membership(topology.clone(), r, 0)
-                        .with_telemetry(tel.clone())
-                        .with_fleet(AgentTelemetry::new(
-                            &tel,
-                            Address::Resource(r),
-                            config.report_cadence,
-                        )),
-                ),
-                interval,
-                phase,
-            );
+        for r in 0..n_resources {
+            let (interval, phase) = jittered(0.75 * config.round_length);
+            dist.deploy_resource(r, r, interval, phase);
         }
         // The control plane ticks at the retransmission interval; idle it
         // sends nothing, so fault-free runs are unaffected.
-        runtime.register(
+        dist.runtime.register(
             Address::ControlPlane,
             Box::new(
-                ControlPlaneAgent::new(problem.tasks().len(), problem.resources().len())
+                ControlPlaneAgent::new(n_tasks, n_resources)
                     .with_robustness(config.robustness)
-                    .with_telemetry(tel.clone()),
+                    .with_telemetry(dist.tel.clone()),
             ),
             config.robustness.retransmit_interval,
             0.5 * config.round_length,
@@ -248,37 +224,56 @@ impl DistributedLla {
             // It never sends, so registering it cannot perturb the
             // protocol; with cadence 0 it is not registered at all and the
             // deployment is byte-identical to a pre-fleet one.
-            runtime.register(
+            dist.runtime.register(
                 Address::Collector,
                 Box::new(CollectorAgent::new(
-                    tel.clone(),
+                    dist.tel.clone(),
                     crate::fleet::default_slo_rules(config.round_length),
                 )),
                 config.round_length,
                 0.9 * config.round_length,
             );
         }
+        dist
+    }
 
-        let next_task_slot = task_slots.len();
-        let next_resource_slot = resource_slots.len();
-        DistributedLla {
-            problem,
-            runtime,
-            telemetry,
-            checkpoints,
-            topology,
-            epoch: 0,
-            task_slots,
-            resource_slots,
-            next_task_slot,
-            next_resource_slot,
-            config,
-            rounds: 0,
-            utilities: Vec::new(),
-            pending_availability: Vec::new(),
-            last_diag_prices: Vec::new(),
-            tel,
-        }
+    /// Registers the controller of the task at dense index `dense` under
+    /// protocol `slot`, at the current topology epoch.
+    fn deploy_controller(&mut self, dense: usize, slot: usize, interval: f64, phase: f64) {
+        let config = self.config;
+        let controller = TaskController::new(
+            dense,
+            (*self.problem).clone(),
+            config.step_policy,
+            config.allocation,
+            Arc::clone(&self.telemetry),
+        )
+        .with_robustness(config.robustness)
+        .with_checkpoints(self.checkpoints.clone())
+        .with_membership(self.topology.clone(), slot, self.epoch)
+        .with_telemetry(self.tel.clone())
+        .with_fleet(AgentTelemetry::new(
+            &self.tel,
+            Address::Controller(slot),
+            config.report_cadence,
+        ));
+        self.runtime.register(Address::Controller(slot), Box::new(controller), interval, phase);
+    }
+
+    /// Registers the price agent of the resource at dense index `dense`
+    /// under protocol `slot`, at the current topology epoch.
+    fn deploy_resource(&mut self, dense: usize, slot: usize, interval: f64, phase: f64) {
+        let config = self.config;
+        let agent = ResourceAgent::new(dense, (*self.problem).clone(), config.step_policy)
+            .with_robustness(config.robustness)
+            .with_membership(self.topology.clone(), slot, self.epoch)
+            .with_telemetry(self.tel.clone())
+            .with_fleet(AgentTelemetry::new(
+                &self.tel,
+                Address::Resource(slot),
+                config.report_cadence,
+            ));
+        self.runtime.register(Address::Resource(slot), Box::new(agent), interval, phase);
     }
 
     /// The telemetry handles shared across the deployment.
@@ -400,24 +395,6 @@ impl DistributedLla {
     /// which the engine's saturating window delta absorbs.
     pub fn diag_sample(&mut self) -> DiagSample {
         let lats = self.dense_lats();
-        let mut worst = 0.0f64;
-        for r in self.problem.resources() {
-            let usage = self.problem.resource_usage(r.id(), &lats);
-            let factor = if r.availability() > 0.0 {
-                usage / r.availability()
-            } else if usage > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-            worst = worst.max(factor);
-        }
-        for (t, task) in self.problem.tasks().iter().enumerate() {
-            if task.critical_time() > 0.0 {
-                let (_, cp) = task.graph().critical_path(&lats[t]);
-                worst = worst.max(cp / task.critical_time());
-            }
-        }
         let mut frozen = 0u64;
         let mut doublings = 0u64;
         let mut prices = Vec::with_capacity(self.resource_slots.len());
@@ -453,8 +430,8 @@ impl DistributedLla {
         self.last_diag_prices = prices.clone();
         DiagSample {
             iteration: self.rounds as u64,
-            utility: self.utility(),
-            worst_violation_factor: worst,
+            utility: self.problem.total_utility(&lats),
+            worst_violation_factor: self.problem.worst_violation_factor(&lats),
             gamma_doublings: doublings,
             max_rel_price_step,
             frozen_agents: frozen,
@@ -654,29 +631,7 @@ impl DistributedLla {
             }
             tel[slot] = self.problem.initial_allocation()[dense].clone();
         }
-        self.runtime.register(
-            Address::Controller(slot),
-            Box::new(
-                TaskController::new(
-                    dense,
-                    (*self.problem).clone(),
-                    self.config.step_policy,
-                    self.config.allocation,
-                    Arc::clone(&self.telemetry),
-                )
-                .with_robustness(self.config.robustness)
-                .with_checkpoints(self.checkpoints.clone())
-                .with_membership(self.topology.clone(), slot, self.epoch)
-                .with_telemetry(self.tel.clone())
-                .with_fleet(AgentTelemetry::new(
-                    &self.tel,
-                    Address::Controller(slot),
-                    self.config.report_cadence,
-                )),
-            ),
-            self.config.round_length,
-            self.next_phase(0.25),
-        );
+        self.deploy_controller(dense, slot, self.config.round_length, self.next_phase(0.25));
         self.tel.membership_changes.inc();
         self.tel.events.emit(
             TelemetryEvent::new(self.runtime.now(), "task_join")
@@ -773,22 +728,7 @@ impl DistributedLla {
         self.next_resource_slot += 1;
         self.resource_slots.push(slot);
         self.push_epoch(MembershipCause::ResourceJoin);
-        self.runtime.register(
-            Address::Resource(slot),
-            Box::new(
-                ResourceAgent::new(dense, (*self.problem).clone(), self.config.step_policy)
-                    .with_robustness(self.config.robustness)
-                    .with_membership(self.topology.clone(), slot, self.epoch)
-                    .with_telemetry(self.tel.clone())
-                    .with_fleet(AgentTelemetry::new(
-                        &self.tel,
-                        Address::Resource(slot),
-                        self.config.report_cadence,
-                    )),
-            ),
-            self.config.round_length,
-            self.next_phase(0.75),
-        );
+        self.deploy_resource(dense, slot, self.config.round_length, self.next_phase(0.75));
         self.tel.membership_changes.inc();
         self.tel.events.emit(
             TelemetryEvent::new(self.runtime.now(), "resource_join")
@@ -980,6 +920,42 @@ mod tests {
         }
     }
 
+    fn oracle(problem: Problem) -> Optimizer {
+        Optimizer::new(
+            problem,
+            OptimizerConfig {
+                allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+                ..OptimizerConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn zero_capacity_resource_counts_as_violated_only_when_used() {
+        // Resource 2 has no capacity and hosts nothing: it constrains
+        // nothing, so the engine and the facade both report the same
+        // finite factor, and the converged engine is healthy.
+        let mut p = problem();
+        p.add_resource(Resource::new(ResourceId::new(2), ResourceKind::Cpu).with_availability(0.0))
+            .unwrap();
+        let mut opt = oracle(p.clone());
+        let outcome = opt.run_to_convergence(10_000);
+        assert!(outcome.converged);
+        let mut dist = DistributedLla::new(p, config());
+        dist.run_rounds(outcome.iterations);
+        let factor = opt.worst_violation_factor();
+        assert!(factor <= 1.0 + 1e-3, "idle zero-capacity resource reported {factor}");
+        assert_eq!(dist.diag_sample().worst_violation_factor, factor);
+        assert!(opt.health_snapshot().healthy());
+
+        // Taking the capacity of a *used* resource away is still an
+        // unbounded violation for both.
+        opt.set_resource_availability(ResourceId::new(0), 0.0).unwrap();
+        dist.set_resource_availability(ResourceId::new(0), 0.0).unwrap();
+        assert_eq!(opt.worst_violation_factor(), f64::INFINITY);
+        assert_eq!(dist.diag_sample().worst_violation_factor, f64::INFINITY);
+    }
+
     #[test]
     fn perfect_network_matches_centralized_exactly() {
         let rounds = 300;
@@ -1161,6 +1137,39 @@ mod tests {
         oracle.run_to_convergence(10_000);
         let gap = (dist.utility() - oracle.utility()).abs() / oracle.utility().abs().max(1.0);
         assert!(gap < 0.05, "join gap {gap}: {} vs oracle {}", dist.utility(), oracle.utility());
+    }
+
+    #[test]
+    fn resource_join_hosts_a_later_task() {
+        let mut dist = DistributedLla::new(problem(), config());
+        dist.run_rounds(300);
+        let slot =
+            dist.join_resource(Resource::new(ResourceId::new(2), ResourceKind::Cpu)).unwrap();
+        assert_eq!(slot, 2);
+        dist.run_rounds(20);
+
+        let mut b = TaskBuilder::new("newcomer");
+        let a = b.subtask("a", ResourceId::new(0), 2.0);
+        let d = b.subtask("b", ResourceId::new(2), 3.0);
+        b.edge(a, d).unwrap();
+        b.critical_time(50.0);
+        dist.join_task(&b).unwrap();
+        dist.run_rounds(2_000);
+
+        for t in dist.task_slots().to_vec() {
+            let ctl = dist.runtime_mut().actor_as::<TaskController>(Address::Controller(t));
+            assert_eq!(ctl.expect("registered").epoch(), 2, "controller {t} missed an epoch");
+        }
+        for r in dist.resource_slots().to_vec() {
+            let agent = dist.runtime_mut().actor_as::<ResourceAgent>(Address::Resource(r));
+            assert_eq!(agent.expect("registered").epoch(), 2, "resource {r} missed an epoch");
+        }
+        assert!(dist.problem().is_feasible(dist.allocation().lats(), 1e-2));
+
+        let mut cold = oracle(dist.problem().clone());
+        cold.run_to_convergence(10_000);
+        let gap = (dist.utility() - cold.utility()).abs() / cold.utility().abs().max(1.0);
+        assert!(gap < 1e-2, "join gap {gap}: {} vs oracle {}", dist.utility(), cold.utility());
     }
 
     #[test]
